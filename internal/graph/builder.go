@@ -13,8 +13,8 @@ import (
 //
 // A Builder supports the full mutation surface of the pre-CSR Graph (AddEdge,
 // RemoveEdge, SetAttr) plus the read queries the structural generators need
-// while rewiring (HasEdge, Degree, Neighbors, CommonNeighbors, Triangles,
-// OrphanedNodes). It is not safe for concurrent use. Finalize does not
+// while rewiring (HasEdge, Degree, Neighbors, CommonNeighbors, Triangles).
+// It is not safe for concurrent use. Finalize does not
 // invalidate the Builder: it copies, so a Builder can be finalized repeatedly
 // at different construction stages.
 type Builder struct {
@@ -268,29 +268,6 @@ func (b *Builder) Triangles() int64 {
 		}
 	}
 	return total / 3
-}
-
-// ConnectedComponents returns the node sets of the connected components in
-// descending order of size; singleton nodes form their own components.
-func (b *Builder) ConnectedComponents() [][]int {
-	return connectedComponents(len(b.rows), func(u int) []int32 { return b.rows[u] })
-}
-
-// LargestComponent returns the node IDs of the largest connected component
-// (empty for an empty builder).
-func (b *Builder) LargestComponent() []int {
-	comps := b.ConnectedComponents()
-	if len(comps) == 0 {
-		return nil
-	}
-	return comps[0]
-}
-
-// OrphanedNodes returns all nodes outside the largest connected component,
-// matching Graph.OrphanedNodes; it is used by the TriCycLe post-processing
-// pass while the synthetic graph is still under construction.
-func (b *Builder) OrphanedNodes() []int {
-	return orphanedNodes(len(b.rows), func(u int) []int32 { return b.rows[u] })
 }
 
 // Clone returns an independent deep copy of the builder.

@@ -1,9 +1,10 @@
 package graph
 
-// connectedComponents is the shared BFS used by both Graph and Builder; row
-// must return node u's neighbour list (sortedness is not required here).
-// Components are returned in descending order of size.
-func connectedComponents(n int, row func(u int) []int32) [][]int {
+// ConnectedComponents returns the node sets of the connected components of the
+// graph. Components are returned in descending order of size, ties in order of
+// their smallest node ID; singleton nodes form their own components.
+func (g *Graph) ConnectedComponents() [][]int {
+	n := len(g.attrs)
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = -1
@@ -22,7 +23,7 @@ func connectedComponents(n int, row func(u int) []int32) [][]int {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, v32 := range row(u) {
+			for _, v32 := range g.row(u) {
 				v := int(v32)
 				if comp[v] < 0 {
 					comp[v] = id
@@ -43,32 +44,6 @@ func connectedComponents(n int, row func(u int) []int32) [][]int {
 		}
 	}
 	return components
-}
-
-// orphanedNodes is the shared implementation of OrphanedNodes.
-func orphanedNodes(n int, row func(u int) []int32) []int {
-	if n == 0 {
-		return nil
-	}
-	comps := connectedComponents(n, row)
-	inMain := make([]bool, n)
-	for _, v := range comps[0] {
-		inMain[v] = true
-	}
-	var orphans []int
-	for i := 0; i < n; i++ {
-		if !inMain[i] {
-			orphans = append(orphans, i)
-		}
-	}
-	return orphans
-}
-
-// ConnectedComponents returns the node sets of the connected components of the
-// graph. Components are returned in descending order of size; singleton nodes
-// form their own components.
-func (g *Graph) ConnectedComponents() [][]int {
-	return connectedComponents(len(g.attrs), g.row)
 }
 
 // LargestComponent returns the node IDs of the largest connected component.
@@ -96,7 +71,21 @@ func (g *Graph) IsConnected() bool {
 // connected, so any node outside the main component of a synthetic graph is an
 // orphan, including isolated nodes and nodes in small satellite components.
 func (g *Graph) OrphanedNodes() []int {
-	return orphanedNodes(len(g.attrs), g.row)
+	main := g.LargestComponent()
+	if main == nil {
+		return nil
+	}
+	inMain := make([]bool, len(g.attrs))
+	for _, v := range main {
+		inMain[v] = true
+	}
+	var orphans []int
+	for i, in := range inMain {
+		if !in {
+			orphans = append(orphans, i)
+		}
+	}
+	return orphans
 }
 
 // InducedSubgraph returns the subgraph induced by the given node set, together

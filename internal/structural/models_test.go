@@ -446,7 +446,7 @@ func TestPostProcessGraphRepairsDisconnectedGraph(t *testing.T) {
 	}
 	sampler := NewNodeSampler(desired, func(i int) bool { return desired[i] == 1 })
 	PostProcessGraph(dp.NewRand(1), g, sampler, desired, nil)
-	if orphans := g.OrphanedNodes(); len(orphans) != 0 {
+	if orphans := g.Finalize().OrphanedNodes(); len(orphans) != 0 {
 		t.Fatalf("post-processing left orphans: %v", orphans)
 	}
 	// Edge count should stay close to the desired total (sum/2 = 20).
@@ -474,4 +474,22 @@ func TestPostProcessGraphHandlesDegenerateInputs(t *testing.T) {
 	PostProcessGraph(dp.NewRand(1), g, NewNodeSampler([]int{1, 1}, nil), []int{1, 1}, nil)
 	empty := graph.NewBuilder(0, 0)
 	PostProcessGraph(dp.NewRand(1), empty, NewNodeSampler(nil, nil), nil, nil)
+}
+
+func TestTriCycLeObservesOnePostProcessPassEach(t *testing.T) {
+	rng := dp.NewRand(26)
+	n := 150
+	params := Params{Degrees: powerLawDegrees(rng, n, 12), Triangles: 50}
+	seed0, final0 := postSeedDur.Count(), postFinalDur.Count()
+	TriCycLe{}.Generate(dp.NewRand(27), n, params, nil)
+	if got := postSeedDur.Count() - seed0; got != 1 {
+		t.Fatalf("seed pass observed %d times, want 1", got)
+	}
+	if got := postFinalDur.Count() - final0; got != 1 {
+		t.Fatalf("final pass observed %d times, want 1", got)
+	}
+	TriCycLe{DisablePostProcess: true}.Generate(dp.NewRand(27), n, params, nil)
+	if postSeedDur.Count()-seed0 != 1 || postFinalDur.Count()-final0 != 1 {
+		t.Fatal("post-process histogram observed with post-processing disabled")
+	}
 }

@@ -26,6 +26,14 @@ import (
 // filter, when non-nil, is treated as a soft preference: candidate attachment
 // points that the filter accepts are tried first, but connectivity repair
 // falls back to ignoring the filter rather than leaving the node orphaned.
+//
+// Cost: one O(n + m) component labelling up front, then near-linear work in
+// total. Components are tracked incrementally (see componentTracker): each
+// round draws its orphan in O(log n), stripping an orphan relabels only its
+// own component, an attachment relabels the smaller side, and a deleted edge
+// costs a two-sided search that stops at the smaller piece. Only a split that
+// leaves the main component with at most n/2 nodes triggers a full
+// relabelling.
 func PostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter EdgeFilter) {
 	n := g.NumNodes()
 	if n == 0 || len(desired) != n {
@@ -35,17 +43,16 @@ func PostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, de
 	maxRounds := 4*n + 100
 	const maxSampleAttempts = 200
 
+	comps := newComponentTracker(g)
 	for round := 0; round < maxRounds; round++ {
-		orphans := g.OrphanedNodes()
-		if len(orphans) == 0 {
+		orphans := comps.orphanCount()
+		if orphans == 0 {
 			return
 		}
-		vi := orphans[rng.Intn(len(orphans))]
+		vi := comps.orphanAt(rng.Intn(orphans))
 		// Remove any edges the orphan currently has (they can only reach other
 		// orphans).
-		for _, u := range g.Neighbors(vi) {
-			g.RemoveEdge(vi, u)
-		}
+		comps.isolate(vi)
 		want := desired[vi]
 		if want < 1 {
 			want = 1 // every node in a connected input graph has degree ≥ 1
@@ -79,11 +86,13 @@ func PostProcessGraph(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, de
 					break
 				}
 			}
-			if !g.AddEdge(vi, vk) {
+			if !comps.addEdge(vi, vk) {
 				continue
 			}
 			if g.NumEdges() > targetEdges {
-				deleteRandomEdgeAvoiding(rng, g, vi)
+				if u, v, ok := deleteRandomEdgeAvoiding(rng, g, vi); ok {
+					comps.edgeRemoved(u, v)
+				}
 			}
 		}
 	}
@@ -111,23 +120,25 @@ func randomAttachmentPoint(rng *rand.Rand, g *graph.Builder, vi int) int {
 
 // deleteRandomEdgeAvoiding removes one (approximately uniformly chosen) edge
 // that is not incident to the protected node, keeping the edge count on
-// target without immediately undoing the repair that was just made.
-func deleteRandomEdgeAvoiding(rng *rand.Rand, g *graph.Builder, protected int) {
+// target without immediately undoing the repair that was just made. It
+// returns the removed edge, or ok = false if no edge was found.
+func deleteRandomEdgeAvoiding(rng *rand.Rand, g *graph.Builder, protected int) (u, v int, ok bool) {
 	n := g.NumNodes()
 	for attempt := 0; attempt < 400; attempt++ {
-		u := rng.Intn(n)
+		u = rng.Intn(n)
 		if u == protected {
 			continue
 		}
-		nb := g.Neighbors(u)
+		nb := g.NeighborsView(u)
 		if len(nb) == 0 {
 			continue
 		}
-		v := nb[rng.Intn(len(nb))]
+		v = int(nb[rng.Intn(len(nb))])
 		if v == protected {
 			continue
 		}
 		g.RemoveEdge(u, v)
-		return
+		return u, v, true
 	}
+	return 0, 0, false
 }

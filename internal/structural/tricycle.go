@@ -10,17 +10,27 @@ import (
 )
 
 // Phase timings for TriCycLe generation, on the process-wide default
-// registry. The two histograms split one Generate call into its seed phase
-// (Chung–Lu plus orphan post-processing) and its rewiring phase, giving the
-// sampling pipeline generate-vs-rewire visibility. Only the wall clock is
-// read — no RNG draws are added or reordered, so generated graphs are
-// byte-identical with and without a scraper attached.
+// registry. The seed and rewire histograms split one Generate call into its
+// seed phase (Chung–Lu plus the first orphan post-processing pass) and its
+// rewiring phase, giving the sampling pipeline generate-vs-rewire visibility.
+// The post-process histogram times each orphan post-processing pass on its
+// own: pass="seed" is the pass inside the seed phase, pass="final" the one
+// after rewiring. Only the wall clock is read — no RNG draws are added or
+// reordered, so generated graphs are byte-identical with and without a
+// scraper attached.
 var (
 	tricycleSeedDur = obs.Default().Histogram("agmdp_structural_seed_duration_seconds",
 		"Wall-clock duration of the Chung-Lu seed phase of TriCycLe generation.")
 	tricycleRewireDur = obs.Default().Histogram("agmdp_structural_rewire_duration_seconds",
 		"Wall-clock duration of the triangle-rewiring phase of TriCycLe generation.")
+	tricyclePostDur = obs.Default().HistogramVec("agmdp_structural_postprocess_duration_seconds",
+		"Wall-clock duration of one orphan post-processing pass of TriCycLe generation.", nil, "pass")
+	postSeedDur  = tricyclePostDur.With("seed")
+	postFinalDur = tricyclePostDur.With("final")
 )
+
+// postProcessFunc is the signature of PostProcessGraph.
+type postProcessFunc func(rng *rand.Rand, g *graph.Builder, sampler *NodeSampler, desired []int, filter EdgeFilter)
 
 // TriCycLe is the structural model introduced by the paper (Algorithm 1). It
 // starts from a Chung–Lu seed graph matching the target degree sequence and
@@ -65,6 +75,12 @@ func (t TriCycLe) Generate(rng *rand.Rand, n int, params Params, filter EdgeFilt
 // orphan post-processing, triangle rewiring, second post-processing — with the
 // final freeze left to the caller.
 func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilter) *graph.Builder {
+	return t.generateBuilder(rng, n, params, filter, PostProcessGraph)
+}
+
+// generateBuilder is GenerateBuilder with the post-processing pass passed
+// in, so tests can run the pipeline against a reference implementation.
+func (t TriCycLe) generateBuilder(rng *rand.Rand, n int, params Params, filter EdgeFilter, postProcessGraph postProcessFunc) *graph.Builder {
 	if err := params.Validate(n); err != nil {
 		panic(err)
 	}
@@ -99,7 +115,9 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 	seedStart := time.Now()
 	b := generateCLParallelBuilder(rng, n, sampler, seedTarget, filter, workers)
 	if postProcess {
-		PostProcessGraph(rng, b, sampler, degrees, filter)
+		postStart := time.Now()
+		postProcessGraph(rng, b, sampler, degrees, filter)
+		postSeedDur.ObserveDuration(time.Since(postStart))
 	}
 	tricycleSeedDur.ObserveDuration(time.Since(seedStart))
 	if b.NumEdges() == 0 || sampler.Empty() {
@@ -115,7 +133,9 @@ func (t TriCycLe) GenerateBuilder(rng *rand.Rand, n int, params Params, filter E
 	tricycleRewireDur.ObserveDuration(time.Since(rewireStart))
 
 	if postProcess {
-		PostProcessGraph(rng, b, sampler, degrees, filter)
+		postStart := time.Now()
+		postProcessGraph(rng, b, sampler, degrees, filter)
+		postFinalDur.ObserveDuration(time.Since(postStart))
 	}
 	return b
 }

@@ -4,7 +4,7 @@
 #
 #   scripts/bench.sh [output.json]
 #
-# The default output is BENCH_pr6.json in the repository root; the PR number
+# The default output is BENCH_pr13.json in the repository root; the PR number
 # is parsed from the file name. Each entry holds the benchmark name,
 # iteration count, ns/op and (when reported) B/op and allocs/op; the
 # "speedups" section reports every before/after ratio whose benchmark pair is
@@ -34,6 +34,11 @@
 #                hit) vs a cold compute over the 118k-edge fixture, and the
 #                evaluate job's utility comparison fanned across cores vs
 #                sequential
+#   PR 13 pairs — TriCycLe's orphan post-processing: the incremental
+#                component tracker vs the per-round full-BFS oracle on a
+#                Last.fm-size seed graph; the pokec TriCycLe scaling curve
+#                (scales 0.01/0.02/0.04) is summarised as growth exponents
+#                (growth_exponents: d log time / d log nodes per step)
 #
 # BENCH_PKGS overrides the benchmarked packages (the root package holds the
 # much slower paper-reproduction benchmarks, e.g. BENCH_PKGS=. scripts/bench.sh).
@@ -42,7 +47,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_pr10.json}"
+out="${1:-BENCH_pr13.json}"
 pkgs="${BENCH_PKGS:-./internal/graph/ ./internal/structural/ ./internal/triangles/ ./internal/obs/ ./internal/graphstore/ ./internal/tenant/ ./internal/analytics/}"
 benchtime="1s"
 if [ "${BENCH_SHORT:-0}" != "0" ]; then
@@ -62,25 +67,28 @@ import sys
 
 raw_path, out_path = sys.argv[1], sys.argv[2]
 benches = []
-pattern = re.compile(
-    r"^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op"
-    r"(?:\s+([\d.]+) MB/s)?"
-    r"(?:\s+([\d.]+) B/op\s+(\d+) allocs/op)?"
-)
+# A result line is the name, the iteration count, then (value, unit) pairs:
+# ns/op always, MB/s, B/op and allocs/op when reported, plus any custom
+# b.ReportMetric units (kept under "metrics", e.g. the scaling curve's nodes).
+head = re.compile(r"^(Benchmark\S+)\s+(\d+)\s+(.*)$")
+known = {"ns/op": "ns_per_op", "MB/s": "mb_per_s", "B/op": "bytes_per_op",
+         "allocs/op": "allocs_per_op"}
 for line in open(raw_path):
-    m = pattern.match(line.strip())
+    m = head.match(line.strip())
     if not m:
         continue
-    entry = {
-        "name": m.group(1),
-        "iterations": int(m.group(2)),
-        "ns_per_op": float(m.group(3)),
-    }
-    if m.group(4) is not None:
-        entry["mb_per_s"] = float(m.group(4))
-    if m.group(5) is not None:
-        entry["bytes_per_op"] = float(m.group(5))
-        entry["allocs_per_op"] = int(m.group(6))
+    fields = m.group(3).split()
+    pairs = list(zip(fields[0::2], fields[1::2]))
+    if not pairs or pairs[0][1] != "ns/op":
+        continue
+    entry = {"name": m.group(1), "iterations": int(m.group(2))}
+    for value, unit in pairs:
+        if unit in known:
+            entry[known[unit]] = float(value)
+        else:
+            entry.setdefault("metrics", {})[unit] = float(value)
+    if "allocs_per_op" in entry:
+        entry["allocs_per_op"] = int(entry["allocs_per_op"])
     benches.append(entry)
 
 by_name = {b["name"].split("-")[0]: b for b in benches}
@@ -149,6 +157,10 @@ pairs = {
         "BenchmarkMetricsBundleCold", "BenchmarkMetricsBundleWarm"),
     "evaluate_parallel_vs_sequential": (
         "BenchmarkEvaluateSequential", "BenchmarkEvaluateParallel"),
+    # PR 13: orphan post-processing with incremental component tracking vs
+    # the oracle that recomputes every component each repair round.
+    "postprocess_incremental_vs_oracle": (
+        "BenchmarkPostProcessOracle", "BenchmarkPostProcessIncremental"),
 }
 speedups = {}
 for key, (base, new) in pairs.items():
@@ -176,6 +188,23 @@ for key, (base, new) in alloc_pairs.items():
     if r is not None:
         alloc_reductions[key] = r
 
+# Growth exponents of the scaling curves: for consecutive sizes, the slope
+# log(t2/t1) / log(n2/n1). 1.0 is linear; 2.0 quadratic.
+import math
+
+def growth_exponents(prefix):
+    points = sorted(
+        (b["metrics"]["nodes"], b["ns_per_op"]) for name, b in by_name.items()
+        if name.startswith(prefix + "/") and "nodes" in b.get("metrics", {}))
+    return [round(math.log(t2 / t1) / math.log(n2 / n1), 2)
+            for (n1, t1), (n2, t2) in zip(points, points[1:]) if n2 > n1]
+
+growth = {}
+for key, prefix in {"tricycle_pokec": "BenchmarkTriCycLePokecScaling"}.items():
+    g = growth_exponents(prefix)
+    if g:
+        growth[key] = g
+
 pr_match = re.search(r"pr(\d+)", out_path)
 cores = os.cpu_count() or 1
 doc = {
@@ -193,6 +222,7 @@ doc = {
     "benchmarks": benches,
     "speedups": speedups,
     "alloc_reductions": alloc_reductions,
+    "growth_exponents": growth,
 }
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
