@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"agmdp/internal/durable"
 	"agmdp/internal/graph"
 	"agmdp/internal/obs"
 )
@@ -258,9 +259,9 @@ func (c *Cache) loadFile(id string) ([]byte, *Bundle, bool) {
 	return []byte(env.Bundle), &b, true
 }
 
-// persist writes the encoded bundle to <id>.metrics atomically (temp file in
-// the same directory, then rename). Persistence is best-effort: a failure is
-// recorded as a warning and the request is still served from memory.
+// persist writes the encoded bundle to <id>.metrics atomically. Persistence
+// is best-effort: a failure is recorded as a warning and the request is
+// still served from memory.
 func (c *Cache) persist(id string, raw []byte) {
 	if c.opts.Dir == "" {
 		return
@@ -270,26 +271,7 @@ func (c *Cache) persist(id string, raw []byte) {
 		c.warn("encoding metrics envelope for %s: %v", id, err)
 		return
 	}
-	path := c.metricsPath(id)
-	tmp, err := os.CreateTemp(c.opts.Dir, "."+id+".metrics.tmp*")
-	if err != nil {
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(env); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		c.warn("persisting metrics for %s: %v", id, err)
-		return
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := durable.WriteFile(c.metricsPath(id), env); err != nil {
 		c.warn("persisting metrics for %s: %v", id, err)
 	}
 }

@@ -74,56 +74,7 @@ func (g *Graph) BinarySize() int64 {
 // WriteBinary writes the graph as a binary CSR snapshot. The output is
 // canonical: equal graphs produce byte-identical snapshots.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [binaryHeaderSize]byte
-	copy(hdr[0:8], binaryMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], binaryVersion)
-	var flags uint32
-	if g.w > 0 {
-		flags |= flagAttrs
-	}
-	binary.LittleEndian.PutUint32(hdr[12:16], flags)
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(g.w))
-	// hdr[20:24] is the reserved word, zero.
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(g.attrs)))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(g.m))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("graph: writing binary header: %w", err)
-	}
-	var buf [8 * binaryChunkEntries]byte
-	for start := 0; start < len(g.offsets); start += binaryChunkEntries {
-		chunk := g.offsets[start:min(start+binaryChunkEntries, len(g.offsets))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-		}
-		if _, err := bw.Write(buf[:8*len(chunk)]); err != nil {
-			return fmt.Errorf("graph: writing binary offsets: %w", err)
-		}
-	}
-	for start := 0; start < len(g.neighbors); start += binaryChunkEntries {
-		chunk := g.neighbors[start:min(start+binaryChunkEntries, len(g.neighbors))]
-		for i, v := range chunk {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-		}
-		if _, err := bw.Write(buf[:4*len(chunk)]); err != nil {
-			return fmt.Errorf("graph: writing binary neighbors: %w", err)
-		}
-	}
-	if flags&flagAttrs != 0 {
-		for start := 0; start < len(g.attrs); start += binaryChunkEntries {
-			chunk := g.attrs[start:min(start+binaryChunkEntries, len(g.attrs))]
-			for i, v := range chunk {
-				binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-			}
-			if _, err := bw.Write(buf[:8*len(chunk)]); err != nil {
-				return fmt.Errorf("graph: writing binary attrs: %w", err)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: writing binary snapshot: %w", err)
-	}
-	return nil
+	return WriteBinaryTo(w, g)
 }
 
 // binaryHeader is the decoded fixed header of a binary CSR snapshot.
@@ -224,26 +175,22 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, m, w, flags := h.n, h.m, h.w, h.flags
-
-	offsets, err := readInt64s(br, n+1)
+	offsets, err := readInt64s(br, h.n+1)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading binary offsets: %w", err)
 	}
-	neighbors, err := readInt32s(br, 2*m)
+	neighbors, err := readInt32s(br, 2*h.m)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading binary neighbors: %w", err)
 	}
-	attrs := make([]AttrVector, n)
-	if flags&flagAttrs != 0 {
-		if err := readAttrs(br, attrs, w); err != nil {
+	var attrs []AttrVector
+	if h.flags&flagAttrs != 0 {
+		attrs = make([]AttrVector, h.n)
+		if err := readAttrs(br, attrs, h.w); err != nil {
 			return nil, fmt.Errorf("graph: reading binary attrs: %w", err)
 		}
 	}
-	if err := validateCSR(n, offsets, neighbors); err != nil {
-		return nil, fmt.Errorf("graph: invalid binary snapshot: %w", err)
-	}
-	return &Graph{w: w, m: m, offsets: offsets, neighbors: neighbors, attrs: attrs}, nil
+	return assembleCSR("binary", h, offsets, neighbors, attrs)
 }
 
 // DecodeBinary parses a binary CSR snapshot held fully in memory, with the
@@ -268,33 +215,43 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if want := h.size(); int64(len(data)) != want {
 		return nil, fmt.Errorf("graph: binary snapshot is %d bytes, want exactly %d for its header", len(data), want)
 	}
-	n, m, w := h.n, h.m, h.w
-
 	body := data[binaryHeaderSize:]
-	offsets := make([]int64, n+1)
+	offsets := make([]int64, h.n+1)
 	for i := range offsets {
 		offsets[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 	}
-	body = body[8*(n+1):]
-	neighbors := make([]int32, 2*m)
+	body = body[8*(h.n+1):]
+	neighbors := make([]int32, 2*h.m)
 	for i := range neighbors {
 		neighbors[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
 	}
-	attrs := make([]AttrVector, n)
+	var attrs []AttrVector
 	if h.flags&flagAttrs != 0 {
-		body = body[4*2*m:]
+		body = body[4*2*h.m:]
+		attrs = make([]AttrVector, h.n)
 		for i := range attrs {
 			a := AttrVector(binary.LittleEndian.Uint64(body[8*i:]))
-			if a != a.maskWidth(w) {
-				return nil, fmt.Errorf("graph: reading binary attrs: node %d attribute vector %#x has bits above width %d", i, uint64(a), w)
+			if a != a.maskWidth(h.w) {
+				return nil, fmt.Errorf("graph: reading binary attrs: node %d attribute vector %#x has bits above width %d", i, uint64(a), h.w)
 			}
 			attrs[i] = a
 		}
 	}
-	if err := validateCSR(n, offsets, neighbors); err != nil {
-		return nil, fmt.Errorf("graph: invalid binary snapshot: %w", err)
+	return assembleCSR("binary", h, offsets, neighbors, attrs)
+}
+
+// assembleCSR is the common tail of every snapshot decoder: it validates the
+// decoded CSR arrays and wraps them as a Graph. attrs is ignored (all-zero
+// vectors are allocated) when the snapshot carries no attrs array. format
+// names the failed snapshot kind in the error ("binary" or "chunked").
+func assembleCSR(format string, h binaryHeader, offsets []int64, neighbors []int32, attrs []AttrVector) (*Graph, error) {
+	if h.flags&flagAttrs == 0 {
+		attrs = make([]AttrVector, h.n)
 	}
-	return &Graph{w: w, m: m, offsets: offsets, neighbors: neighbors, attrs: attrs}, nil
+	if err := validateCSR(h.n, offsets, neighbors); err != nil {
+		return nil, fmt.Errorf("graph: invalid %s snapshot: %w", format, err)
+	}
+	return &Graph{w: h.w, m: h.m, offsets: offsets, neighbors: neighbors, attrs: attrs}, nil
 }
 
 // MemoryBytes estimates the resident heap footprint of the decoded graph:

@@ -375,7 +375,7 @@ func (cr *ChunkReader) Next() (*RowChunk, error) {
 // adjacency). The result is indistinguishable from the monolithic decode of
 // the same graph.
 func (cr *ChunkReader) ReadAll() (*Graph, error) {
-	n, m, w := cr.h.n, cr.h.m, cr.h.w
+	n, m := cr.h.n, cr.h.m
 	offsets := make([]int64, 1, min(n+1, 2*binaryChunkEntries))
 	neighbors := make([]int32, 0, min(2*m, 2*binaryChunkEntries))
 	attrs := make([]AttrVector, 0, min(n, 2*binaryChunkEntries))
@@ -393,13 +393,7 @@ func (cr *ChunkReader) ReadAll() (*Graph, error) {
 			attrs = append(attrs, c.Attrs...)
 		}
 	}
-	if cr.h.flags&flagAttrs == 0 {
-		attrs = make([]AttrVector, n)
-	}
-	if err := validateCSR(n, offsets, neighbors); err != nil {
-		return nil, fmt.Errorf("graph: invalid chunked snapshot: %w", err)
-	}
-	return &Graph{w: w, m: m, offsets: offsets, neighbors: neighbors, attrs: attrs}, nil
+	return assembleCSR("chunked", cr.h, offsets, neighbors, attrs)
 }
 
 // ReadBinaryChunked decodes a full graph from a chunked binary stream,

@@ -96,7 +96,13 @@ func TestChunkedFromBuilderMatchesGraph(t *testing.T) {
 func TestWriteBinaryToMatchesWriteBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 30; trial++ {
-		g := randomGraph(rng, rng.Intn(70), rng.Intn(graph.MaxAttributes+1), rng.Float64()*0.3)
+		n, w, density := rng.Intn(70), rng.Intn(graph.MaxAttributes+1), rng.Float64()*0.3
+		if trial == 0 {
+			// Large enough to span many encoder buffers, which the Graph
+			// and row-source paths fill and flush at different points.
+			n, density = 3000, 0.01
+		}
+		g := randomGraph(rng, n, w, density)
 		want := encodeBinary(t, g)
 		for name, src := range map[string]graph.RowSource{"graph": g, "builder": g.Builder()} {
 			var buf bytes.Buffer

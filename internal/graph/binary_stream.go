@@ -1,17 +1,16 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// streamEncoder stages little-endian values in a bounded buffer in front of a
-// bufio.Writer, so per-entry encoding costs an array store instead of a
-// bufio call. Errors are sticky.
+// streamEncoder stages little-endian values in a bounded buffer in front of
+// the destination, so encoding costs array stores and one Write per full
+// buffer. Errors are sticky.
 type streamEncoder struct {
-	bw  *bufio.Writer
+	w   io.Writer
 	buf [8 * binaryChunkEntries]byte
 	n   int
 	err error
@@ -19,7 +18,7 @@ type streamEncoder struct {
 
 func (e *streamEncoder) flush() {
 	if e.err == nil && e.n > 0 {
-		_, e.err = e.bw.Write(e.buf[:e.n])
+		_, e.err = e.w.Write(e.buf[:e.n])
 	}
 	e.n = 0
 }
@@ -32,12 +31,21 @@ func (e *streamEncoder) u64(v uint64) {
 	e.n += 8
 }
 
-func (e *streamEncoder) u32(v uint32) {
-	if e.n+4 > len(e.buf) {
-		e.flush()
+// u32s encodes a run of neighbour entries in bulk.
+func (e *streamEncoder) u32s(vs []int32) {
+	buf := &e.buf
+	for len(vs) > 0 {
+		if e.n+4 > len(buf) {
+			e.flush()
+		}
+		n := e.n
+		k := min(len(vs), (len(buf)-n)/4)
+		for i, v := range vs[:k] {
+			binary.LittleEndian.PutUint32(buf[n+4*i:], uint32(v))
+		}
+		e.n = n + 4*k
+		vs = vs[k:]
 	}
-	binary.LittleEndian.PutUint32(e.buf[e.n:], v)
-	e.n += 4
 }
 
 // putBinaryHeader encodes the fixed monolithic snapshot header.
@@ -55,24 +63,46 @@ func putBinaryHeader(hdr []byte, n, m, w int) {
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(m))
 }
 
-// WriteBinaryTo writes the source's graph as a monolithic binary CSR snapshot
-// (the exact bytes Graph.WriteBinary emits for the materialised graph — the
-// format is canonical, so the two paths are byte-identical). Unlike
-// WriteBinary it never needs the concatenated CSR arrays: it makes three row
-// passes over the source (offsets, neighbour rows, attrs) holding only one
-// row plus a bounded staging buffer, which is what lets a sampled graph
-// stream from the generator's builder straight to the socket in O(row)
-// memory beyond the builder itself.
+// WriteBinaryTo writes the source's graph as a monolithic binary CSR
+// snapshot; Graph.WriteBinary is this function on a materialised graph, so
+// the format is canonical across sources. It never needs the concatenated
+// CSR arrays: it makes three row passes over the source (offsets, neighbour
+// rows, attrs) holding only bounded staging buffers (one chunk of rows plus
+// the row that overflows it), which is what lets a sampled graph stream from
+// the generator's builder straight to the socket in O(row) memory beyond
+// the builder itself.
 func WriteBinaryTo(w io.Writer, src RowSource) error {
 	n, m, aw := src.NumNodes(), src.NumEdges(), src.NumAttributes()
 	checkDims(n, aw)
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var hdr [binaryHeaderSize]byte
-	putBinaryHeader(hdr[:], n, m, aw)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("graph: writing binary header: %w", err)
+	enc := &streamEncoder{w: w}
+	putBinaryHeader(enc.buf[:], n, m, aw)
+	enc.n = binaryHeaderSize
+	if g, ok := src.(*Graph); ok {
+		// A materialised graph's arrays are the snapshot sections: encode
+		// them whole instead of calling through the row interface.
+		for _, off := range g.offsets {
+			enc.u64(uint64(off))
+		}
+		enc.u32s(g.neighbors)
+		if aw > 0 {
+			for _, a := range g.attrs {
+				enc.u64(uint64(a))
+			}
+		}
+	} else if err := encodeRows(enc, src); err != nil {
+		return err
 	}
-	enc := &streamEncoder{bw: bw}
+	enc.flush()
+	if enc.err != nil {
+		return fmt.Errorf("graph: writing binary snapshot: %w", enc.err)
+	}
+	return nil
+}
+
+// encodeRows writes the three snapshot sections of a general row source in
+// three row passes.
+func encodeRows(enc *streamEncoder, src RowSource) error {
+	n, m := src.NumNodes(), src.NumEdges()
 	var off int64
 	enc.u64(0)
 	for u := 0; u < n; u++ {
@@ -82,24 +112,21 @@ func WriteBinaryTo(w io.Writer, src RowSource) error {
 	if off != int64(2*m) {
 		return fmt.Errorf("graph: row source degrees sum to %d, want %d (= 2m)", off, 2*m)
 	}
-	row := make([]int32, 0, binaryChunkEntries)
+	// Rows are gathered into a staging slice and encoded once it holds a
+	// chunk: long encode loops, not one short loop per row.
+	rows := make([]int32, 0, 2*binaryChunkEntries)
 	for u := 0; u < n; u++ {
-		row = src.AppendRow(row[:0], u)
-		for _, v := range row {
-			enc.u32(uint32(v))
+		rows = src.AppendRow(rows, u)
+		if len(rows) >= binaryChunkEntries {
+			enc.u32s(rows)
+			rows = rows[:0]
 		}
 	}
-	if aw > 0 {
+	enc.u32s(rows)
+	if src.NumAttributes() > 0 {
 		for u := 0; u < n; u++ {
 			enc.u64(uint64(src.RowAttr(u)))
 		}
-	}
-	enc.flush()
-	if enc.err != nil {
-		return fmt.Errorf("graph: writing binary snapshot: %w", enc.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("graph: writing binary snapshot: %w", err)
 	}
 	return nil
 }

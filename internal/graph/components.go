@@ -116,11 +116,3 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	sub := FromEdges(len(orig), g.w, edges).WithAttributes(g.w, vecs)
 	return sub, orig
 }
-
-// RelabelToLargestComponent returns a new graph containing only the largest
-// connected component, with node IDs compacted to 0..k-1, plus the mapping
-// back to original IDs. This mirrors the paper's preprocessing, which keeps
-// only the main connected component of each dataset.
-func (g *Graph) RelabelToLargestComponent() (*Graph, []int) {
-	return g.InducedSubgraph(g.LargestComponent())
-}

@@ -118,28 +118,6 @@ func TestInducedSubgraphCollapsesDuplicates(t *testing.T) {
 	}
 }
 
-func TestRelabelToLargestComponent(t *testing.T) {
-	b := twoComponentsB()
-	b.SetAttr(2, 1)
-	main, orig := b.Finalize().RelabelToLargestComponent()
-	if main.NumNodes() != 4 || main.NumEdges() != 4 {
-		t.Fatalf("main component has %d nodes / %d edges, want 4 / 4", main.NumNodes(), main.NumEdges())
-	}
-	if !main.IsConnected() {
-		t.Fatal("relabelled main component is not connected")
-	}
-	// Attribute of original node 2 must survive.
-	found := false
-	for newID, old := range orig {
-		if old == 2 && main.Attr(newID) == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("attribute lost during relabelling")
-	}
-}
-
 // Property: component sizes always sum to the node count, and every component
 // is internally connected.
 func TestComponentsPartitionProperty(t *testing.T) {

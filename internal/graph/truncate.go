@@ -31,20 +31,3 @@ func (g *Graph) Truncate(k int) *Graph {
 	copy(out.attrs, g.attrs)
 	return out
 }
-
-// IsDegreeBounded reports whether every node has degree at most k.
-func (g *Graph) IsDegreeBounded(k int) bool {
-	for i := range g.attrs {
-		if g.Degree(i) > k {
-			return false
-		}
-	}
-	return true
-}
-
-// TruncationLoss returns the number of edges removed by Truncate(k) without
-// materialising the truncated graph twice. It is a convenience for tuning the
-// truncation parameter in non-private analyses and tests.
-func (g *Graph) TruncationLoss(k int) int {
-	return g.NumEdges() - g.Truncate(k).NumEdges()
-}

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"agmdp/internal/durable"
 	"agmdp/internal/graph"
 	"agmdp/internal/obs"
 )
@@ -289,121 +290,82 @@ func openSnapshot(path string) (*snap, graph.SnapshotStat, string, error) {
 // Put stores a graph and returns its content-addressed ID. Storing a graph
 // that is already resident is a no-op that returns the existing ID. When
 // persistence is enabled the snapshot is written to disk before Put returns
-// and the file (not the encode buffer) becomes the entry's backing store;
-// the just-encoded decoded graph is admitted to the cache so an immediate
-// Get does not re-decode.
+// and the file (not an encode buffer) becomes the entry's backing store;
+// the graph itself is admitted to the cache so an immediate Get does not
+// re-decode.
 func (s *Store) Put(g *graph.Graph) (string, error) {
-	var buf bytes.Buffer
-	buf.Grow(int(g.BinarySize()))
-	if err := g.WriteBinary(&buf); err != nil {
-		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
-	}
-	data := buf.Bytes()
-	id := IDFromBytes(data)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
-		return id, nil
-	}
-	var sn *snap
-	if s.dir != "" {
-		if err := s.persist(id, data); err != nil {
-			return "", err
-		}
-		sn = openFileSnap(filepath.Join(s.dir, id+".csr"), int64(len(data)))
-	} else {
-		sn = &snap{size: int64(len(data)), data: data}
-	}
-	stat := graph.SnapshotStat{
-		Nodes:      g.NumNodes(),
-		Edges:      g.NumEdges(),
-		Attributes: g.NumAttributes(),
-		Size:       int64(len(data)),
-	}
-	s.insertLocked(id, sn, stat, s.clock())
-	s.admitLocked(s.entries[id], g)
-	for s.max > 0 && len(s.order) > s.max {
-		s.evictLocked(s.order[0])
-	}
-	return id, nil
+	return s.put(g, g)
 }
 
 // PutSource stores the graph a streaming row source describes and returns
 // its content-addressed ID — the same ID Put assigns to the materialised
-// graph, because the monolithic encoding is canonical and WriteBinaryTo is
-// byte-identical to WriteBinary. A *graph.Graph source delegates to Put (which
-// also admits the decoded graph). Any other source — typically a sampler's
-// builder — is encoded incrementally: with persistence enabled the snapshot
-// streams straight to a temp file while being hashed, so store-back of a
-// sampled graph never materialises the packed CSR arrays or a whole-snapshot
-// encode buffer; the first Get decodes lazily from the file like any other
-// cold entry. Without a directory the snapshot must live on the heap anyway,
-// so the source is encoded into a single buffer that becomes the entry's
-// backing store.
+// graph, because the monolithic encoding is canonical. With a store
+// directory the snapshot streams straight to a temp file (hashing as it
+// goes) and is renamed into place, so the graph is never materialised and
+// the encode buffer never exists: peak heap is the encoder's bounded
+// staging buffer, and the first Get decodes lazily from the file like any
+// other cold entry. Without a directory the snapshot must live on the heap
+// anyway, so the source is encoded into a single buffer that becomes the
+// entry's backing store.
 func (s *Store) PutSource(src graph.RowSource) (string, error) {
-	if g, ok := src.(*graph.Graph); ok {
-		return s.Put(g)
-	}
+	g, _ := src.(*graph.Graph)
+	return s.put(src, g)
+}
+
+// put stores src's snapshot. On disk it is staged (encoded, hashed and
+// synced) outside the store lock and renamed to its content-addressed name
+// under it, discarding the staged copy if the graph is already stored.
+// decoded, when non-nil, is src already materialised and joins the cache.
+func (s *Store) put(src graph.RowSource, decoded *graph.Graph) (string, error) {
 	stat := graph.SnapshotStat{
 		Nodes:      src.NumNodes(),
 		Edges:      src.NumEdges(),
 		Attributes: src.NumAttributes(),
 		Size:       graph.SourceBinarySize(src),
 	}
+	var id string
+	var sn *snap
+	var staged *durable.Staged
 	if s.dir != "" {
-		return s.putSourceFile(src, stat)
+		h := sha256.New()
+		var err error
+		staged, err = durable.Stage(s.dir, "src.tmp*", func(w io.Writer) error {
+			if err := graph.WriteBinaryTo(io.MultiWriter(w, h), src); err != nil {
+				return fmt.Errorf("encoding graph: %w", err)
+			}
+			return nil
+		})
+		if err != nil {
+			return "", fmt.Errorf("graphstore: %w", err)
+		}
+		defer staged.Discard() // no-op once committed
+		id = hex.EncodeToString(h.Sum(nil)[:16])
+	} else {
+		var buf bytes.Buffer
+		buf.Grow(int(stat.Size))
+		if err := graph.WriteBinaryTo(&buf, src); err != nil {
+			return "", fmt.Errorf("graphstore: encoding graph: %w", err)
+		}
+		id = IDFromBytes(buf.Bytes())
+		sn = &snap{size: stat.Size, data: buf.Bytes()}
 	}
-	var buf bytes.Buffer
-	buf.Grow(int(stat.Size))
-	if err := graph.WriteBinaryTo(&buf, src); err != nil {
-		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
-	}
-	data := buf.Bytes()
-	id := IDFromBytes(data)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
-		return id, nil
-	}
-	s.insertLocked(id, &snap{size: int64(len(data)), data: data}, stat, s.clock())
-	for s.max > 0 && len(s.order) > s.max {
-		s.evictLocked(s.order[0])
-	}
-	return id, nil
-}
-
-// putSourceFile streams a row source's snapshot into the store directory:
-// encode to a temp file and the content hash in one pass, then rename to the
-// content-addressed name under the store lock (discarding the temp copy if a
-// concurrent put of the same graph won the race). Peak heap is the encoder's
-// bounded staging buffer, independent of graph size.
-func (s *Store) putSourceFile(src graph.RowSource, stat graph.SnapshotStat) (string, error) {
-	tmp, err := os.CreateTemp(s.dir, "src.tmp*")
-	if err != nil {
-		return "", fmt.Errorf("graphstore: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once the file is renamed into place
-	h := sha256.New()
-	if err := graph.WriteBinaryTo(io.MultiWriter(tmp, h), src); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("graphstore: encoding graph: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("graphstore: %w", err)
-	}
-	id := hex.EncodeToString(h.Sum(nil)[:16])
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.entries[id]; ok {
 		return id, nil
 	}
-	final := filepath.Join(s.dir, id+".csr")
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("graphstore: %w", err)
+	if staged != nil {
+		final := filepath.Join(s.dir, id+".csr")
+		if err := staged.Commit(final); err != nil {
+			return "", fmt.Errorf("graphstore: %w", err)
+		}
+		sn = openFileSnap(final, stat.Size)
 	}
-	s.insertLocked(id, openFileSnap(final, stat.Size), stat, s.clock())
+	s.insertLocked(id, sn, stat, s.clock())
+	if decoded != nil {
+		s.admitLocked(s.entries[id], decoded)
+	}
 	for s.max > 0 && len(s.order) > s.max {
 		s.evictLocked(s.order[0])
 	}
@@ -422,30 +384,6 @@ func openFileSnap(path string, size int64) *snap {
 		return &snap{path: path, size: size, data: data, mapped: true}
 	}
 	return &snap{path: path, size: size}
-}
-
-// persist atomically writes one snapshot file (write to a temp name, then
-// rename) so a crashed or concurrent process never observes a torn file.
-func (s *Store) persist(id string, data []byte) error {
-	final := filepath.Join(s.dir, id+".csr")
-	tmp, err := os.CreateTemp(s.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("graphstore: %w", err)
-	}
-	return nil
 }
 
 // insertLocked adds an entry (decoded graph not yet resident) to the

@@ -39,12 +39,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"os"
 	"runtime"
 	"sync"
 	"time"
 
 	"agmdp/internal/core"
+	"agmdp/internal/durable"
 	"agmdp/internal/engine"
 	"agmdp/internal/graph"
 	"agmdp/internal/graphstore"
@@ -445,11 +445,12 @@ func (m *Manager) finish(j *job, decide func(info *Info)) {
 
 	// Stage the record to a temp file before taking the manager lock: the
 	// expensive disk I/O must not stall every jobs API call behind m.mu on
-	// slow storage. Only the final rename happens under the lock.
-	var tmpPath string
+	// slow storage. Only the final rename (and directory sync) happens under
+	// the lock.
+	var staged *durable.Staged
 	var perr error
 	if m.opts.Dir != "" {
-		tmpPath, perr = m.stageRecord(rec)
+		staged, perr = m.stageRecord(rec)
 	}
 
 	m.mu.Lock()
@@ -459,9 +460,10 @@ func (m *Manager) finish(j *job, decide func(info *Info)) {
 	// Committing under the manager lock keeps the rename ordered against
 	// concurrent removals.
 	if _, ok := m.jobs[id]; ok {
-		if tmpPath != "" {
-			perr = m.commitRecord(tmpPath, id)
-			tmpPath = ""
+		if staged != nil {
+			if err := staged.Commit(m.recordPath(id)); err != nil {
+				perr = fmt.Errorf("jobs: %w", err)
+			}
 		}
 		if perr != nil {
 			// Completion is asynchronous — no caller can receive this
@@ -477,8 +479,8 @@ func (m *Manager) finish(j *job, decide func(info *Info)) {
 		}
 	}
 	m.mu.Unlock()
-	if tmpPath != "" {
-		os.Remove(tmpPath) // job deleted while staging; drop the orphan
+	if staged != nil {
+		staged.Discard() // job deleted while staging: drop the orphan (no-op once committed)
 	}
 }
 

@@ -2,9 +2,10 @@ package jobs
 
 // Finished-job persistence. Job results used to be in-memory only and died
 // with the process; with Options.Dir configured, every job that reaches a
-// terminal status is written as Dir/<id>.json (atomically: temp file, then
-// rename) and reloaded on New, so a client that submitted a long batch or an
-// overnight fit can still resolve GET /v1/jobs/{id} after a service restart.
+// terminal status is written as Dir/<id>.json (atomically and durably, via
+// internal/durable) and reloaded on New, so a client that submitted a long
+// batch or an overnight fit can still resolve GET /v1/jobs/{id} after a
+// service restart.
 // Only finished jobs persist — a running job's record would go stale the
 // moment it was written; shutdown cancels running jobs, and the resulting
 // cancelled records persist like any other terminal state.
@@ -12,11 +13,14 @@ package jobs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"agmdp/internal/durable"
 )
 
 // persistedJob is the on-disk form of one finished job.
@@ -30,59 +34,49 @@ type persistedJob struct {
 // graceful shutdown) are still never reissued after a restart.
 const seqFile = "seq"
 
-// stageRecord writes a finished-job record to a temporary file in the job
-// directory and returns its path. The expensive I/O (MkdirAll, create,
-// write) happens here, without any manager lock held; committing the record
-// is then a single rename (commitRecord).
-func (m *Manager) stageRecord(rec persistedJob) (string, error) {
+// stageRecord writes a finished-job record to a synced temp file in the job
+// directory. The expensive I/O (MkdirAll, create, write, sync) happens here,
+// without any manager lock held; publishing the record is then a single
+// Commit under the lock.
+func (m *Manager) stageRecord(rec persistedJob) (*durable.Staged, error) {
 	if err := os.MkdirAll(m.opts.Dir, 0o755); err != nil {
-		return "", fmt.Errorf("jobs: creating job directory: %w", err)
+		return nil, fmt.Errorf("jobs: creating job directory: %w", err)
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
-		return "", fmt.Errorf("jobs: encoding job record: %w", err)
+		return nil, fmt.Errorf("jobs: encoding job record: %w", err)
 	}
-	tmp, err := os.CreateTemp(m.opts.Dir, rec.Info.ID+".tmp*")
+	staged, err := durable.Stage(m.opts.Dir, rec.Info.ID+".tmp*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
-		return "", fmt.Errorf("jobs: %w", err)
+		return nil, fmt.Errorf("jobs: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("jobs: %w", err)
-	}
-	return tmp.Name(), nil
+	return staged, nil
 }
 
-// commitRecord atomically publishes a staged record under its final name.
-func (m *Manager) commitRecord(tmpPath, id string) error {
-	if err := os.Rename(tmpPath, filepath.Join(m.opts.Dir, id+".json")); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("jobs: %w", err)
-	}
-	return nil
+// recordPath is the on-disk location of one finished job's record.
+func (m *Manager) recordPath(id string) string {
+	return filepath.Join(m.opts.Dir, id+".json")
 }
 
-// persistSeqLocked best-effort records the current sequence high-water mark.
-// Called with m.mu held on every ID allocation; the write is a tiny
-// single-file overwrite, and a failure only costs crash protection for ID
-// reuse (graceful shutdowns still persist terminal records), so it is not
-// worth failing a submission over.
+// persistSeqLocked best-effort records the current sequence high-water mark,
+// atomically, so a crash never leaves a truncated mark behind. Called with
+// m.mu held on every ID allocation, which keeps the marks in order; a
+// failure only costs crash protection for ID reuse (graceful shutdowns still
+// persist terminal records), so it is not worth failing a submission over.
 func (m *Manager) persistSeqLocked() {
 	if m.opts.Dir == "" {
 		return
 	}
-	os.WriteFile(filepath.Join(m.opts.Dir, seqFile), []byte(strconv.Itoa(m.seq)), 0o644)
+	_ = durable.WriteFile(filepath.Join(m.opts.Dir, seqFile), []byte(strconv.Itoa(m.seq)))
 }
 
 // removePersisted deletes a job's on-disk record, if any.
 func (m *Manager) removePersisted(id string) {
 	if m.opts.Dir != "" {
-		os.Remove(filepath.Join(m.opts.Dir, id+".json"))
+		os.Remove(m.recordPath(id))
 	}
 }
 

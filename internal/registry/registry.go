@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"agmdp/internal/core"
+	"agmdp/internal/durable"
 	"agmdp/internal/obs"
 )
 
@@ -213,8 +214,8 @@ func (r *Registry) Put(m *core.FittedModel) (string, error) {
 		return id, nil
 	}
 	if r.dir != "" {
-		if err := r.persist(id, data); err != nil {
-			return "", err
+		if err := durable.WriteFile(filepath.Join(r.dir, id+".json"), data); err != nil {
+			return "", fmt.Errorf("registry: %w", err)
 		}
 	}
 	r.insertLocked(id, data, cached, r.clock())
@@ -222,30 +223,6 @@ func (r *Registry) Put(m *core.FittedModel) (string, error) {
 		r.evictLocked(r.order[0])
 	}
 	return id, nil
-}
-
-// persist atomically writes one model file (write to a temp name, then
-// rename) so a crashed or concurrent process never observes a torn file.
-func (r *Registry) persist(id string, data []byte) error {
-	final := filepath.Join(r.dir, id+".json")
-	tmp, err := os.CreateTemp(r.dir, id+".tmp*")
-	if err != nil {
-		return fmt.Errorf("registry: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: %w", err)
-	}
-	return nil
 }
 
 // LoadWarnings reports the store files Open skipped because they could not be
@@ -384,7 +361,7 @@ func (r *Registry) SetAcceptance(id string, table []float64) bool {
 	e.accept = table
 	r.mu.Unlock()
 	if r.tableDir != "" {
-		if err := r.persistTable(id, table); err != nil {
+		if err := durable.WriteFile(r.tablePath(id), encodeTable(table)); err != nil {
 			slog.Error("registry: persisting acceptance table", "id", id, "err", err)
 		}
 	}

@@ -169,18 +169,6 @@ func TestGenerateCLEmptySamplerAndZeroTarget(t *testing.T) {
 	}
 }
 
-func TestErdosRenyiEdgeCount(t *testing.T) {
-	g := ErdosRenyi(dp.NewRand(1), 50, 100)
-	if g.NumEdges() != 100 {
-		t.Fatalf("edges = %d, want 100", g.NumEdges())
-	}
-	// Requesting more edges than possible caps at the maximum.
-	g = ErdosRenyi(dp.NewRand(2), 5, 100)
-	if g.NumEdges() != 10 {
-		t.Fatalf("edges = %d, want 10 (complete graph)", g.NumEdges())
-	}
-}
-
 func TestFCLGenerateProducesTargetEdges(t *testing.T) {
 	rng := dp.NewRand(3)
 	n := 250
@@ -246,7 +234,7 @@ func TestFitRhoRange(t *testing.T) {
 func TestFitRhoHigherForClusteredGraphs(t *testing.T) {
 	rng := dp.NewRand(6)
 	clustered := clusteredTestGraph(rng, 150, 7, 30)
-	random := ErdosRenyi(dp.NewRand(7), 150, clustered.NumEdges())
+	random := erdosRenyi(dp.NewRand(7), 150, clustered.NumEdges())
 	rhoClustered := FitRho(clustered, 30)
 	rhoRandom := FitRho(random, 30)
 	if rhoClustered <= rhoRandom {
@@ -492,4 +480,18 @@ func TestTriCycLeObservesOnePostProcessPassEach(t *testing.T) {
 	if postSeedDur.Count()-seed0 != 1 || postFinalDur.Count()-final0 != 1 {
 		t.Fatal("post-process histogram observed with post-processing disabled")
 	}
+}
+
+// erdosRenyi generates a G(n, m) random graph with exactly m edges chosen
+// uniformly at random: the structure-free baseline the clustering tests
+// compare against.
+func erdosRenyi(rng *rand.Rand, n, m int) *graph.Graph {
+	b := graph.NewBuilder(n, 0)
+	for b.NumEdges() < m {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Finalize()
 }

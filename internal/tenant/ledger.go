@@ -13,16 +13,19 @@ package tenant
 // (for fits that were cancelled or failed before producing a model) append
 // negative-ε lines; losing a refund to a crash errs in the conservative
 // direction. On load, lines that fail to parse are skipped and reported via
-// Warnings rather than failing the open.
+// Warnings rather than failing the open; a torn final line (a crash
+// mid-append, so the charge was never admitted) is truncated with a warning
+// before the next charge is appended.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
+
+	"agmdp/internal/durable"
 )
 
 // ledgerFile is the append-only spend log inside the tenant directory.
@@ -48,67 +51,46 @@ type ledgerKey struct{ tenant, graph string }
 // concurrent requests exactly the charges that fit under the budget are
 // admitted, never one more.
 type Ledger struct {
-	mu         sync.Mutex
-	f          *os.File // nil when in-memory or closed
-	persistent bool     // opened with a directory: appends must be durable
-	spent      map[ledgerKey]float64
-	warnings   []string
-	clock      func() time.Time
+	mu       sync.Mutex
+	journal  *durable.Journal // nil when in-memory
+	spent    map[ledgerKey]float64
+	warnings []string
+	clock    func() time.Time
 }
 
 // OpenLedger opens (or creates) the ledger under dir; an empty dir keeps the
 // ledger in memory only. Existing entries are replayed into the in-memory
-// totals; unparseable lines are skipped and reported via Warnings.
+// totals; unparseable lines and a torn tail are skipped and reported via
+// Warnings.
 func OpenLedger(dir string) (*Ledger, error) {
 	l := &Ledger{spent: make(map[ledgerKey]float64), clock: time.Now}
 	if dir == "" {
 		return l, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tenant: creating ledger directory: %w", err)
+	var err error
+	if l.journal, l.warnings, err = durable.OpenJournal(filepath.Join(dir, ledgerFile), l.apply); err != nil {
+		return nil, fmt.Errorf("tenant: opening ledger: %w", err)
 	}
-	path := filepath.Join(dir, ledgerFile)
-	if data, err := os.ReadFile(path); err == nil {
-		l.replay(path, data)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("tenant: reading ledger: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: opening ledger for append: %w", err)
-	}
-	l.f = f
-	l.persistent = true
 	return l, nil
 }
 
-// replay accumulates the persisted entries into the in-memory totals. A
-// torn final line (crash mid-append before the sync completed — in which case
-// the charge was never admitted) or any other unparseable line is skipped
-// with a warning; totals are clamped at zero so a stray refund line can never
-// manufacture budget.
-func (l *Ledger) replay(path string, data []byte) {
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var e entry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			l.warnings = append(l.warnings, fmt.Sprintf("%s:%d: %v", path, i+1, err))
-			continue
-		}
-		if e.Tenant == "" || e.Graph == "" {
-			l.warnings = append(l.warnings, fmt.Sprintf("%s:%d: entry missing tenant or graph", path, i+1))
-			continue
-		}
-		k := ledgerKey{e.Tenant, e.Graph}
-		l.spent[k] += e.Epsilon
-		if l.spent[k] < 0 {
-			l.spent[k] = 0
-		}
-		budgetSpentGauge.With(e.Tenant, e.Graph).SetFloat(l.spent[k])
+// apply accumulates one persisted entry into the in-memory totals. Totals
+// are clamped at zero so a stray refund line can never manufacture budget.
+func (l *Ledger) apply(line []byte) error {
+	var e entry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return err
 	}
+	if e.Tenant == "" || e.Graph == "" {
+		return errors.New("entry missing tenant or graph")
+	}
+	k := ledgerKey{e.Tenant, e.Graph}
+	l.spent[k] += e.Epsilon
+	if l.spent[k] < 0 {
+		l.spent[k] = 0
+	}
+	budgetSpentGauge.With(e.Tenant, e.Graph).SetFloat(l.spent[k])
+	return nil
 }
 
 // Warnings reports ledger lines skipped on load. Each is a spend record that
@@ -164,7 +146,7 @@ func (l *Ledger) Charge(tenant, graph string, eps, budget float64) (remaining fl
 			Requested: eps, Remaining: budget - spent, Budget: budget,
 		}
 	}
-	if err := l.append(entry{Tenant: tenant, Graph: graph, Epsilon: eps, At: l.clock()}); err != nil {
+	if err := l.journal.Append(entry{Tenant: tenant, Graph: graph, Epsilon: eps, At: l.clock()}); err != nil {
 		// The entry may or may not have hit disk; treat it as charged in
 		// memory so the in-process view stays pessimistic, but refuse the
 		// admission — a spend we cannot durably record must not run.
@@ -190,7 +172,7 @@ func (l *Ledger) Refund(tenant, graph string, eps float64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	k := ledgerKey{tenant, graph}
-	if err := l.append(entry{Tenant: tenant, Graph: graph, Epsilon: -eps, At: l.clock()}); err != nil {
+	if err := l.journal.Append(entry{Tenant: tenant, Graph: graph, Epsilon: -eps, At: l.clock()}); err != nil {
 		return fmt.Errorf("tenant: persisting ledger refund: %w", err)
 	}
 	l.spent[k] -= eps
@@ -201,37 +183,10 @@ func (l *Ledger) Refund(tenant, graph string, eps float64) error {
 	return nil
 }
 
-// append writes one entry line and syncs it. Callers hold l.mu. A persistent
-// ledger whose append handle is gone (Close raced a charge) refuses rather
-// than silently dropping durability.
-func (l *Ledger) append(e entry) error {
-	if !l.persistent {
-		return nil
-	}
-	if l.f == nil {
-		return errLedgerClosed
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := l.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return l.f.Sync()
-}
-
-var errLedgerClosed = fmt.Errorf("ledger closed")
-
 // Close releases the append handle. Charges against a persistent ledger fail
 // after Close; in-memory ledgers keep working.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Close()
-	l.f = nil
-	return err
+	return l.journal.Close()
 }

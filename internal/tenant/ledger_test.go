@@ -186,6 +186,60 @@ func TestLedgerCorruptLinesSkipped(t *testing.T) {
 	}
 }
 
+// appendTornTail simulates a crash mid-append: a line fragment with no
+// terminating newline at the end of the file.
+func appendTornTail(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(`{"tenant":"t1","graph":"g1","eps`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerChargeAfterTornTail: a charge admitted after a crash left a torn
+// final line must still count on the next reload, not be glued onto the
+// fragment and skipped as corrupt — that would under-count the privacy spend.
+func TestLedgerChargeAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Charge("t1", "g1", 1, 100); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	appendTornTail(t, filepath.Join(dir, ledgerFile))
+
+	l, err = OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := l.Warnings(); len(w) != 1 || !strings.Contains(w[0], "torn tail") {
+		t.Errorf("warnings = %v, want exactly one torn-tail warning", w)
+	}
+	if _, err := l.Charge("t1", "g1", 2, 100); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	re, err := OpenLedger(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.Spent("t1", "g1"); got != 3 {
+		t.Errorf("Spent after reload = %v, want 3 (both admitted charges)", got)
+	}
+	if w := re.Warnings(); len(w) != 0 {
+		t.Errorf("warnings after the torn tail was truncated: %v", w)
+	}
+}
+
 // TestRefundClampsAtZero: refunding more than was spent leaves zero, never a
 // negative balance that would mint budget.
 func TestRefundClampsAtZero(t *testing.T) {

@@ -11,17 +11,18 @@ package tenant
 // Like the ε-ledger, ownership persists as append-only JSONL
 // (Dir/owners.jsonl): grants and revokes each append one synced line, and
 // the file is replayed on startup so a restarted service still knows who may
-// touch what. Unparseable lines are skipped and reported via Warnings —
-// a lost grant fails closed (the tenant loses access), never open.
+// touch what. Unparseable lines and a torn tail are skipped and reported via
+// Warnings — a lost grant fails closed (the tenant loses access), never open.
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
+
+	"agmdp/internal/durable"
 )
 
 // ownersFile is the append-only grant/revoke log inside the tenant directory.
@@ -50,59 +51,39 @@ type resourceKey struct{ kind, id string }
 // Owners tracks which tenants hold a handle on which resources, optionally
 // persisted as append-only JSONL. Safe for concurrent use.
 type Owners struct {
-	mu         sync.Mutex
-	f          *os.File // nil when in-memory or closed
-	persistent bool
-	owners     map[resourceKey]map[string]bool
-	warnings   []string
-	clock      func() time.Time
+	mu       sync.Mutex
+	journal  *durable.Journal // nil when in-memory
+	owners   map[resourceKey]map[string]bool
+	warnings []string
+	clock    func() time.Time
 }
 
 // OpenOwners opens (or creates) the ownership log under dir; an empty dir
 // keeps ownership in memory only. Existing entries are replayed; unparseable
-// lines are skipped and reported via Warnings.
+// lines and a torn tail are skipped and reported via Warnings.
 func OpenOwners(dir string) (*Owners, error) {
 	o := &Owners{owners: make(map[resourceKey]map[string]bool), clock: time.Now}
 	if dir == "" {
 		return o, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("tenant: creating owners directory: %w", err)
+	var err error
+	if o.journal, o.warnings, err = durable.OpenJournal(filepath.Join(dir, ownersFile), o.apply); err != nil {
+		return nil, fmt.Errorf("tenant: opening owners log: %w", err)
 	}
-	path := filepath.Join(dir, ownersFile)
-	if data, err := os.ReadFile(path); err == nil {
-		o.replay(path, data)
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("tenant: reading owners log: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: opening owners log for append: %w", err)
-	}
-	o.f = f
-	o.persistent = true
 	return o, nil
 }
 
-// replay accumulates the persisted grant/revoke entries. A torn final line
-// (crash mid-append) or any other unparseable line is skipped with a warning.
-func (o *Owners) replay(path string, data []byte) {
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var e ownerEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			o.warnings = append(o.warnings, fmt.Sprintf("%s:%d: %v", path, i+1, err))
-			continue
-		}
-		if e.Kind == "" || e.ID == "" || e.Tenant == "" {
-			o.warnings = append(o.warnings, fmt.Sprintf("%s:%d: entry missing kind, id or tenant", path, i+1))
-			continue
-		}
-		o.applyLocked(e)
+// apply folds one persisted grant/revoke entry into the in-memory sets.
+func (o *Owners) apply(line []byte) error {
+	var e ownerEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return err
 	}
+	if e.Kind == "" || e.ID == "" || e.Tenant == "" {
+		return errors.New("entry missing kind, id or tenant")
+	}
+	o.applyLocked(e)
+	return nil
 }
 
 // applyLocked folds one entry into the in-memory sets. Callers hold o.mu (or
@@ -144,7 +125,7 @@ func (o *Owners) Grant(kind, id, tenantID string) error {
 		return nil
 	}
 	e := ownerEntry{Kind: kind, ID: id, Tenant: tenantID, At: o.clock()}
-	if err := o.append(e); err != nil {
+	if err := o.journal.Append(e); err != nil {
 		return fmt.Errorf("tenant: persisting ownership grant: %w", err)
 	}
 	o.applyLocked(e)
@@ -162,7 +143,7 @@ func (o *Owners) Revoke(kind, id, tenantID string) (last bool, err error) {
 		return false, nil
 	}
 	e := ownerEntry{Kind: kind, ID: id, Tenant: tenantID, Revoke: true, At: o.clock()}
-	if err := o.append(e); err != nil {
+	if err := o.journal.Append(e); err != nil {
 		return false, fmt.Errorf("tenant: persisting ownership revoke: %w", err)
 	}
 	o.applyLocked(e)
@@ -176,33 +157,10 @@ func (o *Owners) Owns(kind, id, tenantID string) bool {
 	return o.owners[resourceKey{kind, id}][tenantID]
 }
 
-// append writes one entry line and syncs it. Callers hold o.mu.
-func (o *Owners) append(e ownerEntry) error {
-	if !o.persistent {
-		return nil
-	}
-	if o.f == nil {
-		return errLedgerClosed
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := o.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return o.f.Sync()
-}
-
 // Close releases the append handle. Grants and revokes against a persistent
 // store fail after Close; in-memory stores keep working.
 func (o *Owners) Close() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.f == nil {
-		return nil
-	}
-	err := o.f.Close()
-	o.f = nil
-	return err
+	return o.journal.Close()
 }

@@ -3,6 +3,7 @@ package tenant
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -141,6 +142,45 @@ func TestOwnersCorruptLinesSkipped(t *testing.T) {
 	}
 	if !re.Owns(ResourceGraph, "g1", "alpha") {
 		t.Error("intact grant lost while skipping corrupt lines")
+	}
+}
+
+// TestOwnersGrantAfterTornTail: a grant recorded after a crash left a torn
+// final line must survive the next reload.
+func TestOwnersGrantAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	o, err := OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Grant(ResourceGraph, "g1", "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+	appendTornTail(t, filepath.Join(dir, ownersFile))
+
+	o, err = OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := o.Warnings(); len(ws) != 1 || !strings.Contains(ws[0], "torn tail") {
+		t.Errorf("warnings = %v, want exactly one torn-tail warning", ws)
+	}
+	if err := o.Grant(ResourceModel, "m1", "alpha"); err != nil {
+		t.Fatal(err)
+	}
+	o.Close()
+
+	re, err := OpenOwners(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !re.Owns(ResourceGraph, "g1", "alpha") || !re.Owns(ResourceModel, "m1", "alpha") {
+		t.Error("grant lost across the torn-tail reload")
+	}
+	if ws := re.Warnings(); len(ws) != 0 {
+		t.Errorf("warnings after the torn tail was truncated: %v", ws)
 	}
 }
 
